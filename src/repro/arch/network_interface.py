@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.link import Link
 from repro.arch.packet import EndToEndAck, Flit, MessageClass, Packet
@@ -34,33 +34,71 @@ class RoutingLut:
     The LUT is the hardware the paper's reconfigurable-NoC claims hinge
     on: recovery from hard faults is a LUT rewrite, so entries can be
     replaced or removed at run time (:meth:`set` / :meth:`remove`).
+
+    A LUT built with a routing ``table`` and its ``source`` core is a view
+    over the table's routes from that core (plus the per-route VC path
+    from ``vc_assignment``): an entry is read from the table on first
+    lookup and kept, so the hot path is one dict hit per packet and
+    building a LUT costs nothing per destination.  :meth:`set` overrides
+    and :meth:`remove` tombstones an entry; :meth:`destinations` and
+    ``len()`` report the logical contents.  Change routes through the
+    LUT, not the table: the view reads the table as it stands.
     """
 
-    def __init__(self):
+    def __init__(self, table=None, source: Optional[str] = None,
+                 vc_assignment: Optional[Dict[Tuple[str, str], Sequence[int]]] = None):
+        self._table = table
+        self._source = source
+        self._vc_assignment = vc_assignment
         self._entries: Dict[str, Tuple[Tuple[str, ...], Optional[Tuple[int, ...]]]] = {}
+        self._removed: Set[str] = set()
+
+    def _in_table(self, destination: str) -> bool:
+        return (
+            self._table is not None
+            and destination != self._source
+            and destination not in self._removed
+            and self._table.has_route(self._source, destination)
+        )
 
     def set(self, destination: str, route: Tuple[str, ...],
             vc_path: Optional[Tuple[int, ...]] = None) -> None:
+        self._removed.discard(destination)
         self._entries[destination] = (route, vc_path)
 
     def remove(self, destination: str) -> None:
         """Drop the entry (the destination became unreachable)."""
         self._entries.pop(destination, None)
+        self._removed.add(destination)
 
     def destinations(self) -> List[str]:
-        return sorted(self._entries)
+        out = set(self._entries)
+        if self._table is not None:
+            out.update(
+                dst for dst in self._table.topology.cores if self._in_table(dst)
+            )
+        return sorted(out)
 
     def lookup(self, destination: str) -> Tuple[Tuple[str, ...], Optional[Tuple[int, ...]]]:
         try:
             return self._entries[destination]
         except KeyError:
-            raise KeyError(f"NI LUT has no route to {destination!r}") from None
+            if not self._in_table(destination):
+                raise KeyError(f"NI LUT has no route to {destination!r}") from None
+        vcs = None
+        if self._vc_assignment is not None:
+            raw = self._vc_assignment.get((self._source, destination))
+            vcs = tuple(raw) if raw is not None else None
+        entry = self._entries[destination] = (
+            self._table.route(self._source, destination).path, vcs
+        )
+        return entry
 
     def __contains__(self, destination: str) -> bool:
-        return destination in self._entries
+        return destination in self._entries or self._in_table(destination)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.destinations())
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ Built-in runners cover the sweeps the tool flow actually performs:
 
 from __future__ import annotations
 
+import gc
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
@@ -168,13 +169,16 @@ def run_job(job: Job, observer: Optional[JobObserver] = None) -> dict:
     # Telemetry only: with no tracer on the context (the default) this
     # span is a free no-op and nothing about the run changes.
     with span("run_job", kind=job.kind, key=job.key[:16]):
-        if observer is None:
-            return to_jsonable(fn(job))
-        token = _OBSERVER.set(observer)
+        token = _OBSERVER.set(observer) if observer is not None else None
         try:
             return to_jsonable(fn(job))
         finally:
-            _OBSERVER.reset(token)
+            if token is not None:
+                _OBSERVER.reset(token)
+            # A finished simulator's components reference each other, so
+            # only a full collection frees them; left to the collector's
+            # own schedule, several dead simulators pile up between jobs.
+            gc.collect()
 
 
 # ----------------------------------------------------------------------

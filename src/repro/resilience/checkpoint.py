@@ -46,7 +46,7 @@ from repro.resilience.integrity import (
 )
 
 #: Bump when the capsule layout or the pickled state shape changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _MAGIC = b"repro-ckpt\x00"
 _DIGEST_LEN = 64  # sha256 hexdigest

@@ -227,16 +227,7 @@ class NocSimulator:
         for sw in topo.switches:
             self.switches[sw] = SwitchModel(sw, self.params)
         for core in topo.cores:
-            lut = RoutingLut()
-            for dst in topo.cores:
-                if dst == core or not self.routing_table.has_route(core, dst):
-                    continue
-                route = self.routing_table.route(core, dst)
-                vcs = None
-                if vc_assignment is not None:
-                    raw = vc_assignment.get((core, dst))
-                    vcs = tuple(raw) if raw is not None else None
-                lut.set(dst, route.path, vcs)
+            lut = RoutingLut(self.routing_table, core, vc_assignment)
             self.initiators[core] = InitiatorNI(core, self.params, lut)
             self.targets[core] = TargetNI(core, self.params)
             self.targets[core].response_ni = self.initiators[core]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -262,11 +262,35 @@ class RoutingTable:
     This is the design-time artifact stored in the NI Look-Up Tables
     ("NI LUTs specify the path that packets will follow in the network to
     reach their destination (source routing)", Section 3).
+
+    A table is *explicit* (every route installed with :meth:`set_route`)
+    or *derived*: given ``derive(src, dst) -> Route`` it covers every
+    ordered pair of distinct cores of the topology and computes a route
+    on its first lookup, memoised through the same :meth:`set_route`
+    validation.  Regular topologies (mesh XY/YX, fat trees) derive their
+    routes from coordinates, so building one is O(N), not O(N^2).
+    Iteration, :meth:`pairs` and :meth:`link_loads` enumerate a derived
+    table in the canonical order an eager enumeration would use —
+    source-major over ``topology.cores`` — whatever was looked up before.
+    ``derive`` must pickle (a module-level function or a
+    ``functools.partial`` of one), so tables travel into checkpoints.
     """
 
-    def __init__(self, topology: Topology):
+    def __init__(self, topology: Topology,
+                 derive: Optional[Callable[[str, str], Route]] = None):
         self.topology = topology
         self._routes: Dict[Tuple[str, str], Route] = {}
+        self._derive = derive
+        self._cores: Tuple[str, ...] = tuple(topology.cores) if derive else ()
+        self._core_set = frozenset(self._cores)
+
+    @property
+    def derived(self) -> bool:
+        """True when routes are computed on first lookup."""
+        return self._derive is not None
+
+    def _covers(self, src: str, dst: str) -> bool:
+        return src != dst and src in self._core_set and dst in self._core_set
 
     def set_route(self, route: Route) -> None:
         topo = self.topology
@@ -283,25 +307,45 @@ class RoutingTable:
         for mid in route.path[1:-1]:
             if topo.kind(mid) is not NodeKind.SWITCH:
                 raise ValueError(f"route transits non-switch node {mid!r}")
+        if self._derive is not None and not self._covers(
+            route.source, route.destination
+        ):
+            raise ValueError(
+                "a derived table holds routes between distinct cores of its "
+                f"topology only, not {route.source!r} -> {route.destination!r}"
+            )
         self._routes[(route.source, route.destination)] = route
 
     def route(self, src: str, dst: str) -> Route:
         try:
             return self._routes[(src, dst)]
         except KeyError:
-            raise KeyError(f"no route {src!r} -> {dst!r}") from None
+            if self._derive is None or not self._covers(src, dst):
+                raise KeyError(f"no route {src!r} -> {dst!r}") from None
+        route = self._derive(src, dst)
+        self.set_route(route)
+        return route
 
     def has_route(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._routes
+        return (src, dst) in self._routes or (
+            self._derive is not None and self._covers(src, dst)
+        )
 
     def __len__(self) -> int:
-        return len(self._routes)
+        if self._derive is None:
+            return len(self._routes)
+        return len(self._cores) * (len(self._cores) - 1)
 
     def __iter__(self) -> Iterator[Route]:
-        return iter(self._routes.values())
+        if self._derive is None:
+            return iter(self._routes.values())
+        return (self.route(src, dst) for src, dst in self.pairs())
 
     def pairs(self) -> List[Tuple[str, str]]:
-        return list(self._routes)
+        if self._derive is None:
+            return list(self._routes)
+        cores = self._cores
+        return [(src, dst) for src in cores for dst in cores if src != dst]
 
     def link_loads(self, flow_rates: Optional[Dict[Tuple[str, str], float]] = None
                    ) -> Dict[Tuple[str, str], float]:
@@ -312,8 +356,10 @@ class RoutingTable:
         quantity synthesis compares against link capacity.
         """
         loads: Dict[Tuple[str, str], float] = {}
-        for (src, dst), route in self._routes.items():
-            weight = 1.0 if flow_rates is None else flow_rates.get((src, dst), 0.0)
+        for route in self:
+            weight = 1.0 if flow_rates is None else flow_rates.get(
+                (route.source, route.destination), 0.0
+            )
             for link in route.links():
                 loads[link] = loads.get(link, 0.0) + weight
         return loads

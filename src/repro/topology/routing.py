@@ -19,15 +19,29 @@ Deterministic algorithms provided:
 Ring-based schemes (torus, spidergon) need two virtual channels with a
 dateline; :func:`dateline_vc_assignment` computes the per-hop VC indices
 the simulator and the deadlock checker consume.
+
+Derived versus explicit tables: on a regular fabric a route follows from
+node coordinates, so :func:`xy_routing`, :func:`yx_routing` and
+:func:`fat_tree_routing` return *derived* tables that compute a route on
+its first lookup (see :class:`repro.topology.graph.RoutingTable`).  They
+check the fabric once, in O(N), when the table is built.  Should that
+conservative check fail, the table is enumerated eagerly instead, which
+raises the error of the first broken pair exactly as before (or, where
+the check was only cautious, yields the correct explicit table).  All
+other algorithms return *explicit* tables through :func:`route_all`,
+whose per-pair body is the shared resolver :class:`PairRouter`.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
+from repro.topology.fattree import switch_name as fat_tree_switch
 from repro.topology.graph import NodeKind, Route, RoutingTable, Topology
 
 Direction = str  # "E", "W", "N", "S"
@@ -45,39 +59,44 @@ def _core_pairs(topo: Topology) -> Iterable[Tuple[str, str]]:
                 yield src, dst
 
 
-def _single_attachment(topo: Topology, core: str) -> str:
-    switches = topo.attached_switches(core)
-    if len(switches) != 1:
-        raise ValueError(
-            f"core {core!r} attaches to {len(switches)} switches; "
-            "this routing algorithm requires exactly one"
-        )
-    return switches[0]
-
-
-def route_all(
-    topo: Topology,
-    switch_path_fn: Callable[[str, str], List[str]],
-    pairs: Optional[Iterable[Tuple[str, str]]] = None,
-) -> RoutingTable:
-    """Build a full routing table from a switch-level path function.
+class PairRouter:
+    """Resolve one core pair to its :class:`Route` over a switch-level path.
 
     ``switch_path_fn(src_switch, dst_switch)`` returns the switch node
     path (inclusive).  A core attached to several switches (e.g. a
     dual-port SRAM) routes via whichever attachment gives the shortest
-    switch path (ties broken by switch name).
+    switch path (ties broken by switch name).  Each core's sorted,
+    linked attachments are computed once, not once per pair.  The
+    router is the ``derive`` of a derived :class:`RoutingTable`, so it
+    pickles whenever ``switch_path_fn`` does.
     """
-    table = RoutingTable(topo)
-    for src, dst in pairs if pairs is not None else _core_pairs(topo):
+
+    def __init__(self, topo: Topology,
+                 switch_path_fn: Callable[[str, str], List[str]]):
+        self.topo = topo
+        self.switch_path_fn = switch_path_fn
+        self._ports: Dict[str, Tuple[List[str], List[str]]] = {}
+
+    def ports(self, core: str) -> Tuple[List[str], List[str]]:
+        """(switches ``core`` injects into, switches ejecting into it)."""
+        ports = self._ports.get(core)
+        if ports is None:
+            topo = self.topo
+            switches = topo.attached_switches(core)
+            ports = self._ports[core] = (
+                [sw for sw in switches if topo.has_link(core, sw)],
+                [sw for sw in switches if topo.has_link(sw, core)],
+            )
+        return ports
+
+    def __call__(self, src: str, dst: str) -> Route:
         candidates = []
-        for s_sw in sorted(sw for sw in topo.attached_switches(src)
-                           if topo.has_link(src, sw)):
-            for d_sw in sorted(sw for sw in topo.attached_switches(dst)
-                               if topo.has_link(sw, dst)):
+        for s_sw in self.ports(src)[0]:
+            for d_sw in self.ports(dst)[1]:
                 if s_sw == d_sw:
                     switch_path = [s_sw]
                 else:
-                    switch_path = switch_path_fn(s_sw, d_sw)
+                    switch_path = self.switch_path_fn(s_sw, d_sw)
                     if (
                         not switch_path
                         or switch_path[0] != s_sw
@@ -90,8 +109,32 @@ def route_all(
                 candidates.append((len(switch_path), s_sw, d_sw, switch_path))
         if not candidates:
             raise ValueError(f"cores {src!r}/{dst!r} have no usable attachments")
-        switch_path = min(candidates)[3]
-        table.set_route(Route(tuple([src, *switch_path, dst])))
+        return Route(tuple([src, *min(candidates)[3], dst]))
+
+
+def route_all(
+    topo: Topology,
+    switch_path_fn: Callable[[str, str], List[str]],
+    pairs: Optional[Iterable[Tuple[str, str]]] = None,
+) -> RoutingTable:
+    """Build an explicit routing table by enumerating every core pair.
+
+    Each pair is resolved by a :class:`PairRouter` over
+    ``switch_path_fn``; ``pairs`` defaults to every ordered pair of
+    distinct cores, source-major over ``topo.cores``.
+    """
+    return _enumerate(topo, PairRouter(topo, switch_path_fn), pairs)
+
+
+def _enumerate(
+    topo: Topology,
+    derive: Callable[[str, str], Route],
+    pairs: Optional[Iterable[Tuple[str, str]]] = None,
+) -> RoutingTable:
+    """An explicit table holding ``derive``'s route for every pair."""
+    table = RoutingTable(topo)
+    for src, dst in pairs if pairs is not None else _core_pairs(topo):
+        table.set_route(derive(src, dst))
     return table
 
 
@@ -99,7 +142,7 @@ def route_all(
 # Mesh coordinate machinery
 # ----------------------------------------------------------------------
 def _coords(topo: Topology, switch: str) -> Tuple[int, int]:
-    attrs = topo.node_attrs(switch)
+    attrs = topo.graph.nodes[switch]
     if "x" not in attrs or "y" not in attrs:
         raise ValueError(f"switch {switch!r} lacks x/y mesh coordinates")
     return attrs["x"], attrs["y"]
@@ -178,14 +221,107 @@ def _switch_at(topo: Topology, x: int, y: int) -> str:
         raise ValueError(f"no switch at mesh position ({x}, {y})") from None
 
 
+def _dimension_ordered(topo: Topology, x_first: bool) -> RoutingTable:
+    """A derived XY/YX table, or the eager one where the check fails.
+
+    The eager enumeration raises exactly the error it always raised for
+    a malformed mesh, and builds a correct table in the rare case the
+    conservative fabric check rejects a topology every route still fits.
+    """
+    router = PairRouter(topo, partial(_xy_switch_path, topo, x_first=x_first))
+    if _mesh_fabric_ok(topo, router, x_first):
+        return RoutingTable(topo, derive=router)
+    return route_all(topo, router.switch_path_fn)
+
+
+def _mesh_fabric_ok(topo: Topology, router: PairRouter, x_first: bool) -> bool:
+    """O(N) check that every dimension-ordered route resolves and is wired.
+
+    Sound but conservative: it checks the union of the paths between
+    *any* injecting and *any* ejecting attachment switch, which covers
+    every candidate :class:`PairRouter` compares.  Per row, the first
+    leg spans from the row's extreme sources to the extreme
+    destinations; per column the second leg likewise; each span's unit
+    hops must exist as links between uniquely placed switches.
+    """
+    cores = topo.cores
+    if len(cores) < 2:
+        return True
+    sources: Set[str] = set()
+    sinks: Set[str] = set()
+    for core in cores:
+        outs, ins = router.ports(core)
+        if not outs or not ins:
+            return False
+        sources.update(outs)
+        sinks.update(ins)
+    if len(sources | sinks) == 1:
+        return True  # every route stays on one switch
+    # Switches keyed (first-leg coordinate, other coordinate).
+    frame: Dict[Tuple[int, int], str] = {}
+    for sw in topo.switches:
+        attrs = topo.graph.nodes[sw]
+        if "x" in attrs and "y" in attrs:
+            key = (attrs["x"], attrs["y"]) if x_first else (attrs["y"], attrs["x"])
+            if key in frame:
+                return False
+            frame[key] = sw
+    ends = {sw: key for key, sw in frame.items()}
+    if not all(sw in ends for sw in sources | sinks):
+        return False
+
+    def walk_ok(start: int, stop: int, fixed: int, along_first: bool) -> bool:
+        step = 1 if stop > start else -1
+        for i in range(start, stop, step):
+            u, v = (i, fixed), (i + step, fixed)
+            if not along_first:
+                u, v = u[::-1], v[::-1]
+            if u not in frame or v not in frame or not topo.has_link(
+                frame[u], frame[v]
+            ):
+                return False
+        return True
+
+    def line_ok(fixed: int, starts: Tuple[int, int], stops: Tuple[int, int],
+                along_first: bool) -> bool:
+        """Every walk on one line from a start to a stop coordinate."""
+        (lo_s, hi_s), (lo_t, hi_t) = starts, stops
+        return (hi_t <= lo_s or walk_ok(lo_s, hi_t, fixed, along_first)) and (
+            lo_t >= hi_s or walk_ok(hi_s, lo_t, fixed, along_first)
+        )
+
+    def extent(values: List[int]) -> Tuple[int, int]:
+        return min(values), max(values)
+
+    # First leg: on each source's line, toward every destination.
+    lines: Dict[int, List[int]] = {}
+    for sw in sources:
+        lines.setdefault(ends[sw][1], []).append(ends[sw][0])
+    stops = extent([ends[sw][0] for sw in sinks])
+    if not all(line_ok(line, extent(starts), stops, True)
+               for line, starts in lines.items()):
+        return False
+    # Second leg: on each destination's line, from every source.
+    lines = {}
+    for sw in sinks:
+        lines.setdefault(ends[sw][0], []).append(ends[sw][1])
+    starts = extent([ends[sw][1] for sw in sources])
+    return all(line_ok(line, starts, extent(stops), False)
+               for line, stops in lines.items())
+
+
 def xy_routing(topo: Topology) -> RoutingTable:
-    """Dimension-ordered X-then-Y routing (deadlock-free on meshes)."""
-    return route_all(topo, lambda s, d: _xy_switch_path(topo, s, d, x_first=True))
+    """Dimension-ordered X-then-Y routing (deadlock-free on meshes).
+
+    Returns a derived table: routes come from switch coordinates on
+    first lookup (see the module docstring).
+    """
+    return _dimension_ordered(topo, x_first=True)
 
 
 def yx_routing(topo: Topology) -> RoutingTable:
     """Dimension-ordered Y-then-X routing (deadlock-free on meshes)."""
-    return route_all(topo, lambda s, d: _xy_switch_path(topo, s, d, x_first=False))
+    return _dimension_ordered(topo, x_first=False)
 
 
 # ----------------------------------------------------------------------
@@ -412,38 +548,90 @@ def fat_tree_routing(topo: Topology) -> RoutingTable:
 
     Ascend choosing at level ``l`` the up-neighbour whose digit ``l``
     already matches the destination, stop at the LCA level, then descend
-    along the unique down path.
+    along the unique down path.  Returns a derived table (routes follow
+    from the core addresses on first lookup); a tree that fails the
+    O(N log N) structure check is enumerated eagerly, which raises the
+    error of its first broken pair.
     """
-    from repro.topology.fattree import switch_name
+    derive = partial(_fat_tree_route, topo)
+    if _fat_tree_fabric_ok(topo):
+        return RoutingTable(topo, derive=derive)
+    return _enumerate(topo, derive)
 
-    def address(core: str) -> Tuple[int, ...]:
-        attrs = topo.node_attrs(core)
-        if "address" not in attrs:
-            raise ValueError(f"core {core!r} lacks a fat-tree address")
-        return attrs["address"]
 
-    table = RoutingTable(topo)
-    for src, dst in _core_pairs(topo):
-        p, q = address(src), address(dst)
-        n = len(p)
-        prefix = p[: n - 1]
-        q_prefix = q[: n - 1]
-        if prefix == q_prefix:
-            lca_level = 0
-        else:
-            lca_level = 1 + max(i for i in range(n - 1) if p[i] != q[i])
-        # Ascend: at level l take the up-neighbour with digit l = q[l].
-        w = list(prefix)
-        path = [switch_name(0, tuple(w))]
-        for l in range(lca_level):
-            w[l] = q[l]
-            path.append(switch_name(l + 1, tuple(w)))
-        # Descend: digits already match q's prefix on the way down.
-        for l in range(lca_level - 1, -1, -1):
-            w[l] = q_prefix[l]
-            path.append(switch_name(l, tuple(w)))
-        table.set_route(Route(tuple([src, *path, dst])))
-    return table
+def _fat_tree_address(topo: Topology, core: str) -> Tuple[int, ...]:
+    attrs = topo.graph.nodes[core]
+    if "address" not in attrs:
+        raise ValueError(f"core {core!r} lacks a fat-tree address")
+    return attrs["address"]
+
+
+def _fat_tree_route(topo: Topology, src: str, dst: str) -> Route:
+    p, q = _fat_tree_address(topo, src), _fat_tree_address(topo, dst)
+    n = len(p)
+    prefix = p[: n - 1]
+    q_prefix = q[: n - 1]
+    if prefix == q_prefix:
+        lca_level = 0
+    else:
+        lca_level = 1 + max(i for i in range(n - 1) if p[i] != q[i])
+    # Ascend: at level l take the up-neighbour with digit l = q[l].
+    w = list(prefix)
+    path = [fat_tree_switch(0, tuple(w))]
+    for l in range(lca_level):
+        w[l] = q[l]
+        path.append(fat_tree_switch(l + 1, tuple(w)))
+    # Descend: digits already match q's prefix on the way down.
+    for l in range(lca_level - 1, -1, -1):
+        w[l] = q_prefix[l]
+        path.append(fat_tree_switch(l, tuple(w)))
+    return Route(tuple([src, *path, dst]))
+
+
+def _fat_tree_fabric_ok(topo: Topology) -> bool:
+    """Check that every LCA route resolves and is wired, without routing.
+
+    Sound but conservative: with ``D_l`` the digits seen at address
+    position ``l``, every word of the product of the ``D_l`` must name a
+    switch at every level a route can reach, linked both ways to each
+    up-neighbour that differs in digit ``l`` by a value from ``D_l``.
+    """
+    cores = topo.cores
+    if len(cores) < 2:
+        return True
+    nodes = topo.graph.nodes
+    addresses = []
+    for core in cores:
+        if "address" not in nodes[core]:
+            return False
+        addresses.append(tuple(nodes[core]["address"]))
+    n = len(addresses[0])
+    if n < 1 or any(len(a) != n for a in addresses):
+        return False
+
+    def is_switch(name: str) -> bool:
+        return name in nodes and nodes[name]["kind"] is NodeKind.SWITCH
+
+    for core, address in zip(cores, addresses):
+        leaf = fat_tree_switch(0, address[: n - 1])
+        if not (is_switch(leaf) and topo.has_link(core, leaf)
+                and topo.has_link(leaf, core)):
+            return False
+    digits = [sorted({a[i] for a in addresses}) for i in range(n - 1)]
+    top = 1 + max((i for i, d in enumerate(digits) if len(d) > 1), default=-1)
+    words = list(itertools.product(*digits))
+    if len(words) > len(cores):
+        return False  # not a tree-shaped address set: enumerate instead
+    for level in range(top):
+        for w in words:
+            below = fat_tree_switch(level, w)
+            for digit in digits[level]:
+                above = fat_tree_switch(level + 1, w[:level] + (digit,) + w[level + 1:])
+                if not (is_switch(below) and is_switch(above)
+                        and topo.has_link(below, above)
+                        and topo.has_link(above, below)):
+                    return False
+    return True
 
 
 # ----------------------------------------------------------------------

@@ -55,6 +55,65 @@ class TestRoutingLut:
             lut.lookup("ghost")
 
 
+class TestRoutingLutView:
+    """A LUT built over a routing table reads its entries on demand."""
+
+    def _lut(self, vc_assignment=None):
+        from repro.topology import mesh, xy_routing
+
+        table = xy_routing(mesh(2, 2))
+        return table, RoutingLut(table, "c_0_0", vc_assignment)
+
+    def test_logical_contents(self):
+        table, lut = self._lut()
+        assert lut.destinations() == ["c_0_1", "c_1_0", "c_1_1"]
+        assert len(lut) == 3
+        assert "c_0_0" not in lut and "ghost" not in lut
+        assert lut.lookup("c_1_1") == (table.route("c_0_0", "c_1_1").path, None)
+        with pytest.raises(KeyError, match="no route"):
+            lut.lookup("c_0_0")
+
+    def test_vc_paths_come_from_the_assignment(self):
+        __, lut = self._lut({("c_0_0", "c_1_0"): [0, 1, 1]})
+        assert lut.lookup("c_1_0")[1] == (0, 1, 1)
+        assert lut.lookup("c_0_1")[1] is None
+
+    def test_set_overrides_and_remove_tombstones(self):
+        __, lut = self._lut()
+        detour = ("c_0_0", "s_0_0", "s_0_1", "s_1_1", "c_1_1")
+        lut.set("c_1_1", detour, (0, 0, 0, 0))
+        assert lut.lookup("c_1_1") == (detour, (0, 0, 0, 0))
+        lut.remove("c_1_0")
+        assert "c_1_0" not in lut
+        assert lut.destinations() == ["c_0_1", "c_1_1"]
+        with pytest.raises(KeyError):
+            lut.lookup("c_1_0")
+        lut.set("c_1_0", ("c_0_0", "s_0_0", "s_1_0", "c_1_0"))
+        assert "c_1_0" in lut and len(lut) == 3
+
+    def test_pickle_keeps_overrides_and_tombstones(self):
+        import pickle
+
+        __, lut = self._lut()
+        lut.remove("c_0_1")
+        lut.set("c_1_1", ("c_0_0", "s_0_0", "s_0_1", "s_1_1", "c_1_1"))
+        restored = pickle.loads(pickle.dumps(lut))
+        assert restored.destinations() == ["c_1_0", "c_1_1"]
+        assert restored.lookup("c_1_1") == lut.lookup("c_1_1")
+        assert restored.lookup("c_1_0") == lut.lookup("c_1_0")
+
+    def test_simulator_luts_cover_the_table(self):
+        from repro.sim import NocSimulator
+        from repro.topology import mesh, xy_routing
+
+        topo = mesh(3, 3)
+        sim = NocSimulator(topo, xy_routing(topo))
+        for core, ni in sim.initiators.items():
+            assert ni.lut.destinations() == sorted(
+                c for c in topo.cores if c != core
+            )
+
+
 class TestEndToEnd:
     def test_single_packet_delivery(self):
         ni, switch, target, inj, ej = wire_minimal()
