@@ -321,7 +321,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             pattern=args.pattern, cycles=args.cycles, warmup=args.warmup,
             packet_size=args.packet_size, seed=args.seed,
             metrics_interval=args.metrics_interval,
-            kernel=(None if args.kernel == "fast" else args.kernel),
+            kernel=_kernel_param(args),
         )
         print(f"Batch load curve on {args.topology} (size {args.size}), "
               f"{len(jobs)} rates")
@@ -333,7 +333,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             switch_faults=args.switch_faults,
             transient_bursts=args.transient_bursts,
             repair_after=args.repair_after, seed=args.seed,
-            kernel=(None if args.kernel == "fast" else args.kernel),
+            kernel=_kernel_param(args),
         )
         print(f"Batch fault campaign on {args.topology} "
               f"(size {args.size}), {len(jobs)} runs")
@@ -342,7 +342,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             args.topology, args.size,
             pattern=args.pattern, cycles=args.cycles, warmup=args.warmup,
             packet_size=args.packet_size, seed=args.seed,
-            kernel=(None if args.kernel == "fast" else args.kernel),
+            kernel=_kernel_param(args),
         )]
         print(f"Batch saturation search on {args.topology} "
               f"(size {args.size})")
@@ -717,7 +717,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         max_corruptions=args.max_corruptions,
         stall_streams=args.stall_streams,
         wait_timeout_s=args.wait_timeout,
-        kernel=(None if args.kernel == "fast" else args.kernel),
+        kernel=_kernel_param(args),
     )
     print(f"chaos campaign: {config.jobs} jobs, seed {config.seed}, "
           f"{config.workers} process workers "
@@ -743,6 +743,21 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             print(f"  note: {note}")
     print("chaos verdict: " + ("OK" if report.ok else "FAILED"), flush=True)
     return 0 if report.ok else 1
+
+
+def _add_kernel_option(parser: argparse.ArgumentParser, help_text: str) -> None:
+    from repro.sim import DEFAULT_KERNEL, KERNELS
+
+    parser.add_argument("--kernel", default=DEFAULT_KERNEL, choices=KERNELS,
+                        help=help_text)
+
+
+def _kernel_param(args) -> Optional[str]:
+    """The job-spec ``kernel``: absent for the default, so default jobs
+    keep their cache keys."""
+    from repro.sim import DEFAULT_KERNEL
+
+    return None if args.kernel == DEFAULT_KERNEL else args.kernel
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -776,11 +791,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vcs", type=int, default=1)
     p.add_argument("--buffer-depth", type=int, default=4)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--kernel", default="fast",
-                   choices=("fast", "reference", "event"),
-                   help="simulation kernel (identical results; 'fast' "
-                        "skips provably idle cycles, 'event' schedules "
-                        "only woken components)")
+    _add_kernel_option(p, "simulation kernel (identical results; 'event' "
+                          "ticks only woken components, 'reference' "
+                          "every component every cycle)")
     p.add_argument("--heatmap", action="store_true",
                    help="print an ASCII link-load heat map (mesh/torus)")
     p.set_defaults(func=_cmd_simulate)
@@ -832,11 +845,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "congestion.csv, summary.json")
     p.add_argument("--no-trace", action="store_true",
                    help="skip per-flit trace files (metrics only)")
-    p.add_argument("--kernel", default="fast",
-                   choices=("fast", "reference", "event"),
-                   help="simulation kernel (identical results; 'fast' "
-                        "skips provably idle cycles, 'event' schedules "
-                        "only woken components)")
+    _add_kernel_option(p, "simulation kernel (identical results; 'event' "
+                          "ticks only woken components, 'reference' "
+                          "every component every cycle)")
     p.set_defaults(func=_cmd_observe)
 
     p = sub.add_parser(
@@ -891,10 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transient-bursts", type=int, default=0)
     p.add_argument("--repair-after", type=int, default=None,
                    help="repair each hard fault after this many cycles")
-    p.add_argument("--kernel", default="fast",
-                   choices=("fast", "reference", "event"),
-                   help="simulation kernel for the sweep jobs (identical "
-                        "results; cache keys are unchanged for 'fast')")
+    _add_kernel_option(p, "simulation kernel for the sweep jobs (identical "
+                          "results; the default keeps cache keys unchanged)")
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser(
@@ -1053,11 +1062,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stream connections opened and left unread")
     p.add_argument("--wait-timeout", type=float, default=300.0,
                    help="campaign-wide completion deadline (seconds)")
-    p.add_argument("--kernel", default="fast",
-                   choices=("fast", "reference", "event"),
-                   help="simulation kernel for every campaign job "
-                        "(identical results; cache keys are unchanged "
-                        "for 'fast')")
+    _add_kernel_option(p, "simulation kernel for every campaign job "
+                          "(identical results; the default keeps cache "
+                          "keys unchanged)")
     p.add_argument("--dir", default=None,
                    help="cache/checkpoint root (default: fresh temp dir)")
     p.add_argument("--json", action="store_true",

@@ -252,6 +252,7 @@ def _run_load_point(job: Job) -> dict:
     keys and results are untouched.
     """
     from repro.lab.records import load_point_to_dict
+    from repro.sim import DEFAULT_KERNEL
     from repro.sim.experiments import _run_point
     from repro.topology.presets import standard_instance
 
@@ -291,7 +292,7 @@ def _run_load_point(job: Job) -> dict:
         # Both kernels are byte-identical, so the key may stay absent
         # (preserving every pre-existing cache key) and cached results
         # remain valid whichever kernel computed them.
-        kernel=p.get("kernel", "fast"),
+        kernel=p.get("kernel", DEFAULT_KERNEL),
         on_sim=on_sim,
     )
     result = {"point": None if point is None else load_point_to_dict(point)}
@@ -305,6 +306,7 @@ def _run_load_point(job: Job) -> dict:
 @runner("saturation", version=1)
 def _run_saturation(job: Job) -> dict:
     """A complete bisection saturation search on a standard topology."""
+    from repro.sim import DEFAULT_KERNEL
     from repro.sim.experiments import saturation_throughput
     from repro.topology.presets import standard_instance
 
@@ -323,7 +325,7 @@ def _run_saturation(job: Job) -> dict:
         packet_size=p.get("packet_size", 4),
         seed=job.seed,
         tolerance=p.get("tolerance", 0.02),
-        kernel=p.get("kernel", "fast"),
+        kernel=p.get("kernel", DEFAULT_KERNEL),
     )
     return {"saturation_rate": rate}
 
@@ -351,6 +353,7 @@ def _run_fault_campaign(job: Job) -> dict:
         run_with_checkpoints,
     )
     from repro.sim import (
+        DEFAULT_KERNEL,
         DrainTimeoutError,
         FaultSchedule,
         NocSimulator,
@@ -396,7 +399,7 @@ def _run_fault_campaign(job: Job) -> dict:
         sim = NocSimulator(
             inst.topology, inst.table, params,
             vc_assignment=inst.vc_assignment,
-            kernel=p.get("kernel", "fast"),
+            kernel=p.get("kernel", DEFAULT_KERNEL),
         )
         sim.attach_fault_schedule(schedule)
         # Bounded retries keep the drain finite even when the controller

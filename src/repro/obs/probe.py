@@ -117,7 +117,7 @@ class MetricsProbe:
     def next_sample_cycle(self) -> int:
         """First cycle whose :meth:`on_cycle` closes a window.
 
-        A term of the fast kernel's idle-skip horizon: window boundaries
+        A term of the event kernel's idle-jump horizon: window boundaries
         must land on executed cycles so the sampled per-window deltas
         match the reference kernel byte for byte.
         """

@@ -13,9 +13,10 @@ inside the body rejects capsules from an incompatible library.
 
 Byte-identity is the contract, leaning on two established invariants:
 
-* splitting ``sim.run(N)`` into chunks is result-identical (the fast
-  kernel's skip horizon only shrinks at chunk ends — skipping less is
-  always safe, PR 4);
+* splitting ``sim.run(N)`` into chunks is result-identical (the event
+  kernel rebuilds its scheduler from component state at every ``run()``
+  entry, and a chunk end only cuts an idle jump short — jumping less is
+  always safe);
 * observation never changes results (PR 3), so capsules exclude
   recorders/probes and the host re-attaches them after restore.
 
@@ -46,7 +47,7 @@ from repro.resilience.integrity import (
 )
 
 #: Bump when the capsule layout or the pickled state shape changes.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _MAGIC = b"repro-ckpt\x00"
 _DIGEST_LEN = 64  # sha256 hexdigest

@@ -1,6 +1,7 @@
 """Cycle-accurate flit-level NoC simulation."""
 
 from repro.sim.simulator import (
+    DEFAULT_KERNEL,
     KERNELS,
     DrainTimeoutError,
     NocSimulator,
@@ -38,6 +39,7 @@ from repro.sim.traffic import (
 )
 
 __all__ = [
+    "DEFAULT_KERNEL",
     "KERNELS",
     "DrainTimeoutError",
     "NocSimulator",

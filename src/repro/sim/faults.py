@@ -147,7 +147,7 @@ class FaultSchedule:
     def next_cycle(self) -> Optional[int]:
         """Cycle of the next undelivered event, or None when exhausted.
 
-        A term of the fast kernel's idle-skip horizon: the clock must
+        A term of the event kernel's idle-jump horizon: the clock must
         never jump past a scheduled fault.
         """
         if self._cursor >= len(self._events):
@@ -314,7 +314,7 @@ class RecoveryController:
     def next_wakeup(self, cycle: int) -> Optional[int]:
         """Earliest future cycle at which tick() could change state.
 
-        A term of the fast kernel's idle-skip horizon.  Between executed
+        A term of the event kernel's idle-jump horizon.  Between executed
         cycles the controller's only inputs (timeout and ack callbacks)
         cannot fire, so its next action is fully determined by pending
         blame, the cooldown, and the current suspect counts.  Returning
